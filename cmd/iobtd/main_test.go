@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"regexp"
 	"strings"
@@ -176,6 +177,35 @@ func TestServerLifecycle(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "drained: completed=1") {
 		t.Errorf("shutdown report missing drain line:\n%s", out.String())
+	}
+}
+
+// TestSubmitNonsenseScenarioIs400 posts scenarios with nonsense
+// numeric fields and requires each to be refused as a bad request.
+func TestSubmitNonsenseScenarioIs400(t *testing.T) {
+	base, cancel, done, _ := startServer(t, "-workers", "1")
+	defer func() {
+		cancel()
+		<-done
+	}()
+	for _, bad := range []func(*verify.Scenario){
+		func(sc *verify.Scenario) { sc.Assets = -5 },
+		func(sc *verify.Scenario) { sc.Size = math.NaN() },
+		func(sc *verify.Scenario) { sc.Size = 0 },
+		func(sc *verify.Scenario) { sc.Rate = -3 },
+		func(sc *verify.Scenario) { sc.Horizon = -time.Minute },
+	} {
+		sc := verify.Scenario{Seed: 4002, Assets: 90, Size: 600, Terrain: "open",
+			Command: "intent", Rate: 10, Horizon: 20 * time.Second}
+		bad(&sc)
+		resp, err := http.Post(base+"/missions", "text/plain", strings.NewReader(sc.String()))
+		if err != nil {
+			t.Fatalf("POST /missions: %v", err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("status %d, want 400 for:\n%s", resp.StatusCode, sc.String())
+		}
 	}
 }
 

@@ -13,8 +13,8 @@
 //	iobtsim -faults standard -replay-verify    # run twice, diff decision logs
 //	iobtsim -faults standard -verify           # arm the invariant registry, fail on violation
 //	iobtsim -gossip -verify                    # replicate the COP over epidemic gossip, CRDT invariants armed
-//	iobtsim -shards 4 -assets 5000             # spatially sharded engine: COP dissemination on 4 parallel shards
-//	iobtsim -shards 8 -replay-verify           # prove the 1-shard and 8-shard runs are byte-identical
+//	iobtsim -shards 4 -assets 300 -minutes 4   # spatially sharded engine: COP dissemination on 4 parallel shards
+//	iobtsim -shards 8 -assets 300 -minutes 4 -replay-verify   # prove the 1-shard and 8-shard runs are byte-identical
 package main
 
 import (
@@ -253,8 +253,9 @@ func run(args []string) error {
 				g.Join(id, func(msg mesh.Message) {
 					if msg.Kind == "cop" {
 						if enc, ok := msg.Payload.([]byte); ok {
-							if remote, err := cop.Decode(enc); err == nil {
-								gPics[node].Merge(remote)
+							if err := gPics[node].MergeEncoded(enc); err != nil {
+								// A frame corrupted in flight merges nothing.
+								return
 							}
 						}
 						return

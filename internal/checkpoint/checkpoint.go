@@ -134,9 +134,6 @@ func (c *Coordinator) Register(s Snapshotter) {
 	c.comps = append(c.comps, s)
 }
 
-// Interval returns the checkpoint cadence.
-func (c *Coordinator) Interval() time.Duration { return c.every }
-
 // Start begins the periodic cadence. A non-positive interval disables
 // periodic checkpoints (TakeNow still works).
 func (c *Coordinator) Start() {
@@ -192,15 +189,6 @@ func (c *Coordinator) Capture() *Checkpoint {
 
 // Last returns the most recent checkpoint, nil before the first cut.
 func (c *Coordinator) Last() *Checkpoint { return c.last }
-
-// Age returns how far behind the present the restore point is, or -1
-// when no checkpoint exists.
-func (c *Coordinator) Age() time.Duration {
-	if c.last == nil {
-		return -1
-	}
-	return c.eng.Now() - c.last.At
-}
 
 // RestoreLast replays the most recent checkpoint into every registered
 // component, in registration order. It returns an error naming the

@@ -23,9 +23,6 @@ func NewEncoder() *Encoder { return &Encoder{} }
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the encoded size so far.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // Uint64 appends a fixed 8-byte unsigned integer.
 func (e *Encoder) Uint64(v uint64) {
 	var b [8]byte

@@ -33,22 +33,6 @@ func (j *Journal) Logf(now time.Duration, format string, args ...any) {
 	j.lines = append(j.lines, fmt.Sprintf("%12d %s", now.Nanoseconds(), fmt.Sprintf(format, args...)))
 }
 
-// Len returns the number of recorded events.
-func (j *Journal) Len() int {
-	if j == nil {
-		return 0
-	}
-	return len(j.lines)
-}
-
-// Lines returns the recorded events.
-func (j *Journal) Lines() []string {
-	if j == nil {
-		return nil
-	}
-	return j.lines
-}
-
 // Digest returns an FNV-1a hash over the recipe and every line.
 func (j *Journal) Digest() uint64 {
 	h := fnv.New64a()

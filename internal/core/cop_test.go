@@ -30,6 +30,9 @@ func copTestRuntime(t *testing.T, seed int64) (*World, *Runtime) {
 	return w, r
 }
 
+// TestBuildPictureFoldsWorldState builds a replica the way callers do,
+// NewPicture then UpdatePicture, and checks that the fold picks up the
+// trust ledger, the tracker and the composite's coverage.
 func TestBuildPictureFoldsWorldState(t *testing.T) {
 	w, r := copTestRuntime(t, 31)
 	if err := w.Run(30 * time.Second); err != nil {
@@ -42,7 +45,8 @@ func TestBuildPictureFoldsWorldState(t *testing.T) {
 	}
 
 	actor := w.PickCommandPost()
-	p := BuildPicture(w, r, actor, 100)
+	p := cop.NewPicture(actor)
+	UpdatePicture(p, w, r, 100)
 	tracks, subjects, cells, _ := p.Counts()
 	if subjects == 0 {
 		t.Error("no trust subjects folded from the ledger")
@@ -77,11 +81,12 @@ func TestPictureReplicasConvergeByMerge(t *testing.T) {
 	if err := w.Run(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	a := BuildPicture(w, r, 1, 100)
+	a := cop.NewPicture(1)
+	UpdatePicture(a, w, r, 100)
 	b := cop.NewPicture(2)
 	// b learns everything a knows over the wire: encode, decode, merge —
 	// the exact path gossip payloads take.
-	enc, _ := PublishPicture(a, w)
+	enc := a.Encode()
 	remote, err := cop.Decode(enc)
 	if err != nil {
 		t.Fatalf("decode: %v", err)

@@ -114,11 +114,3 @@ type Circle struct {
 func (c Circle) Contains(p Point) bool {
 	return c.Center.Dist2(p) <= c.Radius*c.Radius
 }
-
-// Bounds returns the circle's bounding rectangle.
-func (c Circle) Bounds() Rect {
-	return Rect{
-		Min: Point{c.Center.X - c.Radius, c.Center.Y - c.Radius},
-		Max: Point{c.Center.X + c.Radius, c.Center.Y + c.Radius},
-	}
-}

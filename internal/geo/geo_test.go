@@ -83,10 +83,6 @@ func TestCircle(t *testing.T) {
 	if c.Contains(Point{4, 4}) {
 		t.Error("exterior point contained")
 	}
-	b := c.Bounds()
-	if b.Min != (Point{-5, -5}) || b.Max != (Point{5, 5}) {
-		t.Errorf("Bounds = %+v", b)
-	}
 }
 
 // Property: distance is symmetric and satisfies the triangle inequality.

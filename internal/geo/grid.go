@@ -44,9 +44,6 @@ func NewGrid(bounds Rect, cellSize float64) *Grid {
 // Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.where) }
 
-// Bounds returns the indexed area.
-func (g *Grid) Bounds() Rect { return g.bounds }
-
 func (g *Grid) cellOf(p Point) int {
 	p = g.bounds.Clamp(p)
 	cx := int((p.X - g.bounds.Min.X) / g.cellSize)
@@ -97,12 +94,6 @@ func (g *Grid) Move(id int32, p Point) {
 	g.where[id] = p
 }
 
-// Position returns the indexed position of id.
-func (g *Grid) Position(id int32) (Point, bool) {
-	p, ok := g.where[id]
-	return p, ok
-}
-
 // Near appends to dst all ids within radius of p (excluding none) and
 // returns the extended slice. Results are in arbitrary but deterministic
 // order for a fixed insertion history.
@@ -119,24 +110,6 @@ func (g *Grid) Near(dst []int32, p Point, radius float64) []int32 {
 		for cx := minCX; cx <= maxCX; cx++ {
 			for _, id := range g.cells[cy*g.cols+cx] {
 				if g.where[id].Dist2(p) <= r2 {
-					dst = append(dst, id)
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// InRect appends all ids inside r to dst and returns the extended slice.
-func (g *Grid) InRect(dst []int32, r Rect) []int32 {
-	minC := g.cellOf(r.Min)
-	maxC := g.cellOf(Point{r.Max.X, r.Max.Y})
-	minCX, minCY := minC%g.cols, minC/g.cols
-	maxCX, maxCY := maxC%g.cols, maxC/g.cols
-	for cy := minCY; cy <= maxCY; cy++ {
-		for cx := minCX; cx <= maxCX; cx++ {
-			for _, id := range g.cells[cy*g.cols+cx] {
-				if r.Contains(g.where[id]) {
 					dst = append(dst, id)
 				}
 			}

@@ -1,6 +1,9 @@
 package geo
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestShardMapPartition(t *testing.T) {
 	m := NewShardMap(NewRect(Point{0, 0}, Point{1200, 800}), 4)
@@ -29,25 +32,32 @@ func TestShardMapPartition(t *testing.T) {
 
 func TestShardMapBandsTile(t *testing.T) {
 	bounds := NewRect(Point{100, 0}, Point{1300, 900})
-	m := NewShardMap(bounds, 5)
-	// Bands tile the bounds: contiguous, non-overlapping, full cover.
-	prev := bounds.Min.X
-	for i := 0; i < m.Shards(); i++ {
-		b := m.Band(i)
-		if b.Min.X != prev {
-			t.Fatalf("band %d starts at %v, want %v", i, b.Min.X, prev)
+	m := NewShardMap(bounds, 5) // bands 240 wide
+	// Bands tile the bounds: walking left to right visits every shard
+	// in order, each owning one contiguous 240 m stretch over the full
+	// height.
+	prev := 0
+	for x := bounds.Min.X; x <= bounds.Max.X; x += 10 {
+		want := int((x - bounds.Min.X) / 240)
+		if want > 4 {
+			want = 4
 		}
-		if b.Min.Y != bounds.Min.Y || b.Max.Y != bounds.Max.Y {
-			t.Fatalf("band %d does not span the full height: %v", i, b)
+		for _, y := range []float64{bounds.Min.Y, 450, bounds.Max.Y} {
+			if got := m.ShardOf(Point{x, y}); got != want {
+				t.Fatalf("ShardOf(%v, %v) = %d, want %d", x, y, got, want)
+			}
 		}
-		prev = b.Max.X
+		if want < prev || want > prev+1 {
+			t.Fatalf("shard jumped from %d to %d at x=%v", prev, want, x)
+		}
+		prev = want
 	}
-	if prev != bounds.Max.X {
-		t.Fatalf("bands end at %v, want %v", prev, bounds.Max.X)
+	if prev != m.Shards()-1 {
+		t.Fatalf("walk ended in shard %d, want %d", prev, m.Shards()-1)
 	}
-	// Every band point maps back to its band.
+	// Every band's center maps back to its band.
 	for i := 0; i < m.Shards(); i++ {
-		c := m.Band(i).Center()
+		c := Point{bounds.Min.X + (float64(i)+0.5)*240, 450}
 		if got := m.ShardOf(c); got != i {
 			t.Fatalf("ShardOf(center of band %d) = %d", i, got)
 		}
@@ -56,11 +66,11 @@ func TestShardMapBandsTile(t *testing.T) {
 
 func TestShardMapCrossed(t *testing.T) {
 	m := NewShardMap(NewRect(Point{0, 0}, Point{1000, 1000}), 4)
-	if sh, moved := m.Crossed(Point{100, 100}, Point{200, 900}); moved || sh != 0 {
-		t.Fatalf("intra-band move reported crossing (shard %d, moved %v)", sh, moved)
+	if a, b := m.ShardOf(Point{100, 100}), m.ShardOf(Point{200, 900}); a != b || b != 0 {
+		t.Fatalf("intra-band move changed shard: %d -> %d", a, b)
 	}
-	if sh, moved := m.Crossed(Point{240, 100}, Point{260, 100}); !moved || sh != 1 {
-		t.Fatalf("boundary crossing missed (shard %d, moved %v)", sh, moved)
+	if a, b := m.ShardOf(Point{240, 100}), m.ShardOf(Point{260, 100}); a != 0 || b != 1 {
+		t.Fatalf("boundary crossing missed: %d -> %d", a, b)
 	}
 }
 
@@ -73,12 +83,12 @@ func TestShardMapCrossed(t *testing.T) {
 func TestShardMapBandEdges(t *testing.T) {
 	m := NewShardMap(NewRect(Point{0, 0}, Point{1200, 800}), 4) // width 300, exact in float64
 	for i := 1; i < m.Shards(); i++ {
-		seam := m.Band(i).Min.X
-		if seam != m.Band(i-1).Max.X {
-			t.Fatalf("bands %d/%d do not share a seam: %v vs %v", i-1, i, m.Band(i-1).Max.X, seam)
-		}
+		seam := float64(i) * 300
 		if got := m.ShardOf(Point{seam, 400}); got != i {
 			t.Errorf("ShardOf(seam %v) = %d, want right band %d", seam, got, i)
+		}
+		if got := m.ShardOf(Point{math.Nextafter(seam, 0), 400}); got != i-1 {
+			t.Errorf("ShardOf(just left of seam %v) = %d, want left band %d", seam, got, i-1)
 		}
 	}
 	if got := m.ShardOf(Point{1200, 0}); got != 3 {
@@ -108,30 +118,34 @@ func TestShardMapZeroWidthWorld(t *testing.T) {
 	if got := m.ShardOf(Point{500, 400}); got != 0 {
 		t.Errorf("ShardOf(on the line) = %d, want 0", got)
 	}
-	for i := 0; i < m.Shards(); i++ {
-		if b := m.Band(i); b.Min.Y != 0 || b.Max.Y != 800 {
-			t.Errorf("band %d lost the vertical extent: %v", i, b)
+	for _, y := range []float64{0, 800} {
+		if got := m.ShardOf(Point{500, y}); got != 0 {
+			t.Errorf("ShardOf(line end y=%v) = %d, want 0", y, got)
 		}
 	}
 }
 
 // TestShardMapCrossedOnSeam pins the mobility edge case of a step
-// landing exactly on a band boundary: the move must report exactly one
-// crossing into the right-hand band, and a subsequent step that stays
-// on the seam must not report a second one.
+// landing exactly on a band boundary: the move must change the owner
+// exactly once, into the right-hand band, and a subsequent step that
+// stays on the seam must not change it again.
 func TestShardMapCrossedOnSeam(t *testing.T) {
 	m := NewShardMap(NewRect(Point{0, 0}, Point{1000, 1000}), 4) // seams at 250, 500, 750
-	if sh, moved := m.Crossed(Point{240, 100}, Point{250, 100}); !moved || sh != 1 {
-		t.Errorf("landing on seam 250: shard %d moved %v, want crossing into 1", sh, moved)
+	steps := []struct {
+		from, to Point
+		want     int
+		crossed  bool
+	}{
+		{Point{240, 100}, Point{250, 100}, 1, true},   // landing on seam 250
+		{Point{250, 100}, Point{250, 900}, 1, false},  // sliding along seam 250
+		{Point{250, 100}, Point{249, 100}, 0, true},   // stepping off seam 250 leftward
+		{Point{990, 100}, Point{1000, 100}, 3, false}, // right edge clamps into 3
 	}
-	if sh, moved := m.Crossed(Point{250, 100}, Point{250, 900}); moved || sh != 1 {
-		t.Errorf("sliding along seam 250: shard %d moved %v, want no crossing", sh, moved)
-	}
-	if sh, moved := m.Crossed(Point{250, 100}, Point{249, 100}); !moved || sh != 0 {
-		t.Errorf("stepping off seam 250 leftward: shard %d moved %v, want crossing into 0", sh, moved)
-	}
-	if sh, moved := m.Crossed(Point{990, 100}, Point{1000, 100}); moved || sh != 3 {
-		t.Errorf("landing on the world's right edge: shard %d moved %v, want clamp into 3 without crossing", sh, moved)
+	for _, st := range steps {
+		a, b := m.ShardOf(st.from), m.ShardOf(st.to)
+		if b != st.want || (a != b) != st.crossed {
+			t.Errorf("%v -> %v: shard %d -> %d, want %d (crossed %v)", st.from, st.to, a, b, st.want, st.crossed)
+		}
 	}
 }
 

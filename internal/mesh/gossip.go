@@ -141,10 +141,6 @@ type Gossip struct {
 	// prevHeld remembers each member's held count at the last
 	// CheckConservation call; anti-entropy must never regress it.
 	prevHeld map[NodeID]int
-	// departedHeld and departedMembers keep the delivery ledger balanced
-	// when Leave discards a member's replica state.
-	departedHeld    int
-	departedMembers int
 
 	// Metrics.
 	Published     sim.Counter // payloads published
@@ -190,20 +186,6 @@ func (g *Gossip) Join(id NodeID, app Handler) {
 	g.net.RegisterHandler(id, func(msg Message) { g.handle(m, msg) })
 }
 
-// Leave removes id from the overlay and unregisters its handler. Its
-// replica state is discarded.
-func (g *Gossip) Leave(id NodeID) {
-	m, ok := g.members[id]
-	if !ok {
-		return
-	}
-	g.departedHeld += len(m.have)
-	g.departedMembers++
-	delete(g.members, id)
-	delete(g.prevHeld, id)
-	g.net.UnregisterHandler(id)
-}
-
 // Members returns the enrolled node IDs in ascending order.
 func (g *Gossip) Members() []NodeID {
 	out := make([]NodeID, 0, len(g.members))
@@ -222,14 +204,6 @@ func (g *Gossip) Start() {
 	g.ticker = g.eng.Every(g.cfg.AntiEntropyEvery, "gossip.antientropy", func() {
 		g.antiEntropyRound()
 	})
-}
-
-// Stop halts anti-entropy.
-func (g *Gossip) Stop() {
-	if g.ticker != nil {
-		g.ticker.Stop()
-		g.ticker = nil
-	}
 }
 
 // Publish disseminates data from origin. The payload is stored at the
@@ -259,15 +233,6 @@ func (g *Gossip) Holds(id NodeID, key GossipKey) bool {
 	}
 	_, ok = m.have[key]
 	return ok
-}
-
-// HeldAt returns how many payloads member id holds.
-func (g *Gossip) HeldAt(id NodeID) int {
-	m, ok := g.members[id]
-	if !ok {
-		return 0
-	}
-	return len(m.have)
 }
 
 // DeliveryRatio is the fraction of (member, payload) pairs reached:
@@ -517,15 +482,15 @@ func (g *Gossip) CheckConservation() error {
 		}
 		g.prevHeld[id] = len(m.have)
 	}
-	if uint64(held+g.departedHeld) != g.DeliveredNew.Value() {
-		return fmt.Errorf("gossip: %d payloads held (+%d departed) but %d first-time deliveries counted",
-			held, g.departedHeld, g.DeliveredNew.Value())
+	if uint64(held) != g.DeliveredNew.Value() {
+		return fmt.Errorf("gossip: %d payloads held but %d first-time deliveries counted",
+			held, g.DeliveredNew.Value())
 	}
 	var total uint64
 	for origin := range g.published {
 		total += g.published[origin]
 	}
-	pop := uint64(len(g.members) + g.departedMembers)
+	pop := uint64(len(g.members))
 	if max := total * pop; g.DeliveredNew.Value() > max {
 		return fmt.Errorf("gossip: %d deliveries exceed %d published × %d members", g.DeliveredNew.Value(), total, pop)
 	}

@@ -275,24 +275,6 @@ func TestGossipAppHandlerChaining(t *testing.T) {
 	}
 }
 
-func TestGossipLeaveBalancesLedger(t *testing.T) {
-	eng, _, net := gridWorld(t, 29, 3, 3, 100)
-	g := joinAll(net, GossipConfig{Fanout: 3, TTL: 8, AntiEntropyEvery: -1})
-	if _, err := g.Publish(0, "report", 32, nil); err != nil {
-		t.Fatalf("publish: %v", err)
-	}
-	if err := eng.Run(5 * time.Second); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	g.Leave(4)
-	if err := g.CheckConservation(); err != nil {
-		t.Errorf("conservation after leave: %v", err)
-	}
-	if got := len(g.Members()); got != 8 {
-		t.Errorf("members after leave = %d, want 8", got)
-	}
-}
-
 func TestGossipOriginLatencyZero(t *testing.T) {
 	_, _, net := gridWorld(t, 31, 2, 2, 100)
 	g := joinAll(net, GossipConfig{AntiEntropyEvery: -1})

@@ -106,12 +106,12 @@ type Network struct {
 
 	ticker *sim.Ticker
 
-	// Metrics. Every message accepted by Send/SendDirect/SendGeo (and
-	// each per-neighbor copy fanned out by Broadcast) increments Sent
-	// and reaches exactly one terminal counter — Delivered, Dropped, or
-	// NoRoute — unless it is still traversing hops (InFlight). The
-	// conservation law Delivered+Dropped+NoRoute+InFlight == Sent is
-	// checked continuously by the chaos and failover tests; see
+	// Metrics. Every message accepted by Send/SendDirect/SendGeo
+	// increments Sent and reaches exactly one terminal counter —
+	// Delivered, Dropped, or NoRoute — unless it is still traversing
+	// hops (inFlight). The conservation law
+	// Delivered+Dropped+NoRoute+InFlight == Sent is checked
+	// continuously by the chaos and failover tests; see
 	// CheckConservation.
 	Delivered  sim.Counter
 	Sent       sim.Counter
@@ -123,10 +123,6 @@ type Network struct {
 
 	inFlight int
 }
-
-// InFlight returns the number of messages currently traversing hops
-// (accepted for forwarding but not yet delivered or dropped).
-func (n *Network) InFlight() int { return n.inFlight }
 
 // CheckConservation verifies the message conservation law:
 //
@@ -341,6 +337,3 @@ func (n *Network) RegisterHandler(id NodeID, h Handler) { n.handlers[id] = h }
 // when none). Overlays that take over a node's handler use it to chain
 // the previous one rather than silently dropping its traffic.
 func (n *Network) Handler(id NodeID) Handler { return n.handlers[id] }
-
-// UnregisterHandler removes a node's handler.
-func (n *Network) UnregisterHandler(id NodeID) { delete(n.handlers, id) }

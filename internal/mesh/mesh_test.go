@@ -203,23 +203,6 @@ func TestLossyLinkDropsSometimes(t *testing.T) {
 	}
 }
 
-func TestBroadcast(t *testing.T) {
-	eng, _, net := lineWorld(t, 5, 100)
-	heard := map[asset.ID]bool{}
-	for i := asset.ID(0); i < 5; i++ {
-		id := i
-		net.RegisterHandler(id, func(Message) { heard[id] = true })
-	}
-	n := net.Broadcast(Message{From: 2, Size: 10, Kind: "hello"})
-	if n != 2 {
-		t.Errorf("broadcast targets = %d, want 2", n)
-	}
-	_ = eng.Run(time.Minute)
-	if !heard[1] || !heard[3] || heard[0] || heard[4] || heard[2] {
-		t.Errorf("heard = %v, want only 1 and 3", heard)
-	}
-}
-
 func TestSendDirectRequiresLink(t *testing.T) {
 	eng, _, net := lineWorld(t, 5, 100)
 	if err := net.SendDirect(Message{From: 0, To: 4, Size: 10}); err != ErrNoRoute {
@@ -422,18 +405,6 @@ func TestRouteValidityProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestUnregisterHandler(t *testing.T) {
-	eng, _, net := lineWorld(t, 2, 100)
-	called := false
-	net.RegisterHandler(1, func(Message) { called = true })
-	net.UnregisterHandler(1)
-	mustSend(t, net, Message{From: 0, To: 1, Size: 10})
-	_ = eng.Run(time.Minute)
-	if called {
-		t.Error("handler called after unregister")
 	}
 }
 

@@ -167,25 +167,6 @@ func (n *Network) deliver(msg Message) {
 	}
 }
 
-// Broadcast delivers msg from msg.From to all current neighbors (one
-// hop). It returns the number of neighbors targeted.
-func (n *Network) Broadcast(msg Message) int {
-	src := n.pop.Get(msg.From)
-	if src == nil || !src.Alive() || !src.Online {
-		return 0
-	}
-	nbrs := n.neighbors[msg.From]
-	msg.Sent = n.eng.Now()
-	for _, nb := range nbrs {
-		m := msg
-		m.To = nb
-		n.Sent.Inc()
-		n.inFlight++
-		n.forward(m, []NodeID{msg.From, nb}, 0)
-	}
-	return len(nbrs)
-}
-
 // SendDirect bypasses routing and attempts a single-hop send, failing
 // (dropping) if the nodes are not linked. It is used by protocols that
 // maintain their own overlay (gossip, spanning tree).

@@ -107,12 +107,6 @@ func (r *Reliable) Register(id NodeID, h Handler) {
 	r.net.RegisterHandler(id, func(msg Message) { r.onReceive(id, msg) })
 }
 
-// Registered reports whether id already has a handler installed.
-func (r *Reliable) Registered(id NodeID) bool {
-	_, ok := r.handlers[id]
-	return ok
-}
-
 // RTO returns the current base retransmission timeout: the configured
 // initial Timeout until an RTT sample exists, then SRTT + 4·RTTVAR
 // clamped to [MinTimeout, MaxTimeout].

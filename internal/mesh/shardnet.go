@@ -591,7 +591,7 @@ func (r *shardRun) collect(eng *sim.Sharded, shards int) *ShardResult {
 		}
 	}
 
-	holders := make(map[GossipKey]uint64)
+	var held uint64 // (node, payload) pairs held, over every node
 	h := fnv.New64a()
 	var buf [8]byte
 	w := func(v uint64) {
@@ -618,6 +618,7 @@ func (r *shardRun) collect(eng *sim.Sharded, shards int) *ShardResult {
 			keys = append(keys, key)
 		}
 		sortGossipKeys(keys)
+		held += uint64(len(keys))
 		w(uint64(n.id))
 		w(uint64(len(keys)))
 		w(n.delivered)
@@ -631,7 +632,6 @@ func (r *shardRun) collect(eng *sim.Sharded, shards int) *ShardResult {
 				res.Violations = append(res.Violations, fmt.Sprintf(
 					"node %d holds %v never published by %d", n.id, key, key.Origin))
 			}
-			holders[key]++
 			w(uint64(key.Origin))
 			w(key.Seq)
 		}
@@ -642,11 +642,7 @@ func (r *shardRun) collect(eng *sim.Sharded, shards int) *ShardResult {
 			"%d deliveries exceed %d published × %d nodes", res.Delivered, res.Published, r.sc.Nodes))
 	}
 	if res.Published > 0 && aliveEnd > 0 {
-		var sum float64
-		for _, cnt := range holders {
-			sum += float64(cnt) / float64(aliveEnd)
-		}
-		res.DeliveryRatio = sum / float64(res.Published)
+		res.DeliveryRatio = float64(held) / (float64(aliveEnd) * float64(res.Published))
 	}
 	res.Digest = h.Sum64()
 	return res

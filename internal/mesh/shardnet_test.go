@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -115,6 +116,39 @@ func TestShardScenarioClampedSends(t *testing.T) {
 		}
 		if res.Digest != ref.Digest {
 			t.Errorf("shards=%d: digest %016x differs from 1-shard %016x", shards, res.Digest, ref.Digest)
+		}
+	}
+}
+
+// TestShardScenarioDeliveryRatioBitStable pins DeliveryRatio to the
+// last bit across repeated same-seed runs. The ratio is computed from
+// integer totals with a single division, so no map iteration order can
+// reach it.
+func TestShardScenarioDeliveryRatioBitStable(t *testing.T) {
+	sc := ShardScenario{
+		Nodes:        40,
+		Horizon:      40 * time.Second,
+		PublishUntil: 30 * time.Second,
+		Publishers:   3,
+		KillAt:       20 * time.Second,
+		KillFrac:     0.3,
+	}
+	var want uint64
+	for i := 0; i < 20; i++ {
+		res, err := RunShardScenario(9, 2, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := math.Float64bits(res.DeliveryRatio)
+		if i == 0 {
+			if res.DeliveryRatio <= 0 || res.DeliveryRatio > 1 {
+				t.Fatalf("DeliveryRatio = %v, want in (0,1]", res.DeliveryRatio)
+			}
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("run %d: DeliveryRatio bits %016x, first run %016x", i, got, want)
 		}
 	}
 }

@@ -255,11 +255,8 @@ func (s *Service) Submit(src string) (*Mission, error) {
 // SubmitScenario admits a parsed scenario into the bounded run queue.
 func (s *Service) SubmitScenario(sc verify.Scenario) (*Mission, error) {
 	s.tel.submitted.Add(1)
-	if sc.Horizon <= 0 {
-		return nil, fmt.Errorf("service: scenario horizon must be positive")
-	}
-	if sc.Assets <= 0 || sc.Size <= 0 {
-		return nil, fmt.Errorf("service: scenario needs assets and a map size")
+	if err := sc.Validate(); err != nil {
+		return nil, err
 	}
 	if sc.Checkpoint == 0 && s.cfg.CheckpointEvery > 0 {
 		sc.Checkpoint = s.cfg.CheckpointEvery

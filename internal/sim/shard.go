@@ -833,10 +833,6 @@ func (c *ShardCtx) Now() time.Duration { return c.at }
 // Self returns the actor the current event belongs to.
 func (c *ShardCtx) Self() ActorID { return c.actor }
 
-// Shard returns the executing shard's index (an observability aid; the
-// model must never branch on it).
-func (c *ShardCtx) Shard() int { return c.ln.id }
-
 // Engine returns the owning sharded engine.
 func (c *ShardCtx) Engine() *Sharded { return c.s }
 

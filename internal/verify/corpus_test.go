@@ -93,3 +93,31 @@ func TestScenarioSchemaVersion(t *testing.T) {
 		})
 	}
 }
+
+// TestScenarioValidateRejectsNonsense feeds the parser one nonsense
+// value per case and requires an error naming the offending field.
+func TestScenarioValidateRejectsNonsense(t *testing.T) {
+	const base = "scenario v1\nseed=1 assets=100 size=800 terrain=open command=intent " +
+		"reliable=false degrade=false checkpoint=0s rate=10 horizon=1m0s track=false\n"
+	if _, err := ParseScenario(base); err != nil {
+		t.Fatalf("valid base rejected: %v", err)
+	}
+	cases := []struct{ field, from, to string }{
+		{"assets", "assets=100", "assets=-5"},
+		{"size", "size=800", "size=NaN"},
+		{"size", "size=800", "size=0"},
+		{"size", "size=800", "size=+Inf"},
+		{"rate", "rate=10", "rate=-3"},
+		{"rate", "rate=10", "rate=Inf"},
+		{"horizon", "horizon=1m0s", "horizon=-1m"},
+		{"checkpoint", "checkpoint=0s", "checkpoint=-5s"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.to, func(t *testing.T) {
+			_, err := ParseScenario(strings.Replace(base, tc.from, tc.to, 1))
+			if err == nil || !strings.Contains(err.Error(), tc.field+"=") {
+				t.Fatalf("err = %v, want an error naming %s", err, tc.field)
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -338,5 +339,24 @@ func ParseScenario(src string) (Scenario, error) {
 		}
 		s.Plan = plan
 	}
-	return s, nil
+	return s, s.Validate()
+}
+
+// Validate rejects a scenario no mission can run: a non-finite number,
+// a non-positive asset count, map size or horizon, or a negative
+// incident rate or checkpoint cadence. The error names the field.
+func (s Scenario) Validate() error {
+	switch {
+	case s.Assets <= 0:
+		return fmt.Errorf("verify: assets=%d must be positive", s.Assets)
+	case math.IsNaN(s.Size) || math.IsInf(s.Size, 0) || s.Size <= 0:
+		return fmt.Errorf("verify: size=%s must be positive and finite", ftoa(s.Size))
+	case math.IsNaN(s.Rate) || math.IsInf(s.Rate, 0) || s.Rate < 0:
+		return fmt.Errorf("verify: rate=%s must be non-negative and finite", ftoa(s.Rate))
+	case s.Horizon <= 0:
+		return fmt.Errorf("verify: horizon=%s must be positive", s.Horizon)
+	case s.Checkpoint < 0:
+		return fmt.Errorf("verify: checkpoint=%s must be non-negative", s.Checkpoint)
+	}
+	return nil
 }
