@@ -4,9 +4,9 @@ package main
 // through testing.Benchmark, rendered as a table with events_per_sec
 // and allocs_per_op columns, and compared against a committed baseline
 // (BENCH_MICRO.json) by the CI bench gate. The loops mirror the
-// package benchmarks in internal/sim and internal/track — same bodies,
-// same steady states — so `go test -bench` and `benchtab -bench` read
-// the same costs.
+// package benchmarks in internal/sim, internal/track and internal/mesh —
+// same bodies, same steady states — so `go test -bench` and
+// `benchtab -bench` read the same costs.
 //
 // The gate's contract is asymmetric on purpose: ns/op may drift with
 // the host (the -maxregress fraction absorbs that), but allocs/op on a
@@ -22,8 +22,10 @@ import (
 	"testing"
 	"time"
 
+	"iobt/internal/asset"
 	"iobt/internal/experiments"
 	"iobt/internal/geo"
+	"iobt/internal/mesh"
 	"iobt/internal/sim"
 	"iobt/internal/track"
 )
@@ -78,6 +80,11 @@ func microBenches() []microBench {
 			name: "tracker_observe",
 			doc:  "per-tick greedy GNN association at a steady 50-track population",
 			fn:   microTrackerObserve,
+		},
+		{
+			name: "mesh_refresh_2k",
+			doc:  "link-state refresh of the classic mission's 2,000-asset world with its central jammer on",
+			fn:   microMeshRefresh,
 		},
 	}
 }
@@ -147,6 +154,30 @@ func microTrackerObserve(b *testing.B) {
 		now += time.Second
 		fill()
 		tr.Observe(now, dets)
+	}
+}
+
+// microMeshRefresh mirrors BenchmarkNetworkRefresh2k in
+// internal/mesh/bench_test.go: 2,000 default-mix assets on 1,500 m open
+// terrain, a 0.9 jammer over the central 500 m, one steady-state
+// Refresh per op after the sizing refresh in mesh.New.
+func microMeshRefresh(b *testing.B) {
+	eng := sim.NewEngine(1)
+	terr := geo.NewOpenTerrain(1500, 1500)
+	pop := asset.Generate(terr, asset.DefaultMix(2000), eng.Stream("gen"))
+	net := mesh.New(eng, pop, terr, mesh.DefaultConfig())
+	zone := geo.Circle{Center: terr.Bounds.Center(), Radius: 500}
+	net.SetJamming(func(p geo.Point) float64 {
+		if zone.Contains(p) {
+			return 0.9
+		}
+		return 0
+	})
+	net.Refresh()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.Refresh()
 	}
 }
 

@@ -58,6 +58,7 @@ type Population struct {
 	assets []*Asset
 	grid   *geo.Grid
 	terr   *geo.Terrain
+	near   []int32 // Near's grid-query scratch, reused across calls
 }
 
 // NewPopulation returns an empty population on terr; add assets with Add.
@@ -233,8 +234,8 @@ func (p *Population) StepMobility(dt time.Duration) {
 
 // Near appends the IDs of alive assets within radius of pt to dst.
 func (p *Population) Near(dst []ID, pt geo.Point, radius float64) []ID {
-	raw := p.grid.Near(nil, pt, radius)
-	for _, r := range raw {
+	p.near = p.grid.Near(p.near[:0], pt, radius)
+	for _, r := range p.near {
 		a := p.assets[r]
 		if a.Alive() {
 			dst = append(dst, ID(r))

@@ -5,13 +5,27 @@ import "math"
 // Grid is a uniform spatial hash over a bounded area: O(1) insert/move
 // and neighborhood queries that only touch nearby cells. It is the index
 // used for radio-range neighbor discovery over thousands of nodes.
+//
+// Ids index dense per-id storage, so memory grows with the largest id
+// inserted; callers use small non-negative ids (asset IDs, node
+// indices). A negative id — asset.None, say — is never indexed: Insert
+// and Move ignore it, Remove of it is a no-op, and Near never returns
+// it.
 type Grid struct {
 	bounds   Rect
 	cellSize float64
 	cols     int
 	rows     int
-	cells    [][]int32       // cell -> ids
-	where    map[int32]Point // id -> position
+	cells    [][]gridEntry // cell -> entries, so Near scans positions in order
+	cell     []int32       // id -> cell index, or -1 when id is not indexed
+	slot     []int32       // id -> index of its entry within its cell
+	n        int
+}
+
+// A gridEntry is one indexed id and its position.
+type gridEntry struct {
+	id int32
+	p  Point
 }
 
 // NewGrid returns a grid over bounds with the given cell size. A
@@ -36,13 +50,12 @@ func NewGrid(bounds Rect, cellSize float64) *Grid {
 		cellSize: cellSize,
 		cols:     cols,
 		rows:     rows,
-		cells:    make([][]int32, cols*rows),
-		where:    make(map[int32]Point),
+		cells:    make([][]gridEntry, cols*rows),
 	}
 }
 
 // Len returns the number of indexed points.
-func (g *Grid) Len() int { return len(g.where) }
+func (g *Grid) Len() int { return g.n }
 
 func (g *Grid) cellOf(p Point) int {
 	p = g.bounds.Clamp(p)
@@ -57,46 +70,67 @@ func (g *Grid) cellOf(p Point) int {
 	return cy*g.cols + cx
 }
 
-// Insert adds id at position p. Inserting an existing id moves it.
-func (g *Grid) Insert(id int32, p Point) {
-	if _, ok := g.where[id]; ok {
-		g.Move(id, p)
-		return
-	}
-	c := g.cellOf(p)
-	g.cells[c] = append(g.cells[c], id)
-	g.where[id] = p
-}
+// Insert adds id at position p. Inserting an existing id moves it; a
+// negative id is ignored.
+func (g *Grid) Insert(id int32, p Point) { g.Move(id, p) }
 
-// Remove deletes id from the index. Removing an unknown id is a no-op.
+// Remove deletes id from the index. Removing an unknown or negative id
+// is a no-op.
 func (g *Grid) Remove(id int32) {
-	p, ok := g.where[id]
-	if !ok {
+	if id < 0 || int(id) >= len(g.cell) || g.cell[id] < 0 {
 		return
 	}
-	c := g.cellOf(p)
-	g.cells[c] = removeID(g.cells[c], id)
-	delete(g.where, id)
+	g.cut(id)
+	g.cell[id] = -1
+	g.n--
 }
 
-// Move updates id's position. Unknown ids are inserted.
+// Move updates id's position. Unknown ids are inserted; a negative id
+// is ignored.
 func (g *Grid) Move(id int32, p Point) {
-	old, ok := g.where[id]
-	if !ok {
-		g.Insert(id, p)
+	if id < 0 {
 		return
 	}
-	oc, nc := g.cellOf(old), g.cellOf(p)
-	if oc != nc {
-		g.cells[oc] = removeID(g.cells[oc], id)
-		g.cells[nc] = append(g.cells[nc], id)
+	for int(id) >= len(g.cell) {
+		g.cell = append(g.cell, -1)
+		g.slot = append(g.slot, 0)
 	}
-	g.where[id] = p
+	c := g.cellOf(p)
+	switch {
+	case g.cell[id] < 0:
+		g.add(id, c, p)
+		g.n++
+	case int(g.cell[id]) != c:
+		g.cut(id)
+		g.add(id, c, p)
+	default:
+		g.cells[c][g.slot[id]].p = p
+	}
+}
+
+// add appends id's entry to cell c.
+func (g *Grid) add(id int32, c int, p Point) {
+	g.cell[id] = int32(c)
+	g.slot[id] = int32(len(g.cells[c]))
+	g.cells[c] = append(g.cells[c], gridEntry{id: id, p: p})
+}
+
+// cut swap-removes id's entry from its cell, moving the cell's last
+// entry into the hole.
+func (g *Grid) cut(id int32) {
+	c, i := g.cell[id], g.slot[id]
+	s := g.cells[c]
+	last := s[len(s)-1]
+	s[i] = last
+	g.slot[last.id] = i
+	g.cells[c] = s[:len(s)-1]
 }
 
 // Near appends to dst all ids within radius of p (excluding none) and
 // returns the extended slice. Results are in arbitrary but deterministic
 // order for a fixed insertion history.
+//
+//iobt:hot
 func (g *Grid) Near(dst []int32, p Point, radius float64) []int32 {
 	if radius < 0 {
 		return dst
@@ -108,22 +142,12 @@ func (g *Grid) Near(dst []int32, p Point, radius float64) []int32 {
 	maxCX, maxCY := maxC%g.cols, maxC/g.cols
 	for cy := minCY; cy <= maxCY; cy++ {
 		for cx := minCX; cx <= maxCX; cx++ {
-			for _, id := range g.cells[cy*g.cols+cx] {
-				if g.where[id].Dist2(p) <= r2 {
-					dst = append(dst, id)
+			for _, e := range g.cells[cy*g.cols+cx] {
+				if e.p.Dist2(p) <= r2 {
+					dst = append(dst, e.id)
 				}
 			}
 		}
 	}
 	return dst
-}
-
-func removeID(s []int32, id int32) []int32 {
-	for i, v := range s {
-		if v == id {
-			s[i] = s[len(s)-1]
-			return s[:len(s)-1]
-		}
-	}
-	return s
 }

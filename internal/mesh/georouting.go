@@ -32,7 +32,7 @@ func (n *Network) RouteGeo(src, dst NodeID) []NodeID {
 	for hops := 0; hops < n.cfg.MaxHops; hops++ {
 		best := NodeID(-1)
 		bestDist := curDist
-		for _, nb := range n.neighbors[cur] {
+		for _, nb := range n.Neighbors(cur) {
 			if visited[nb] {
 				continue
 			}

@@ -87,7 +87,11 @@ type Network struct {
 	cfg  Config
 	rng  *sim.RNG
 
-	neighbors map[NodeID][]NodeID
+	// neighbors[id] is id's neighbor list, rewritten in place by each
+	// Refresh; ends and near are Refresh's per-node and query scratch.
+	neighbors [][]NodeID
+	ends      []linkEnd
+	near      []NodeID
 	version   uint64
 	routes    map[[2]NodeID]routeEntry
 	handlers  map[NodeID]Handler
@@ -171,15 +175,14 @@ func New(eng *sim.Engine, pop *asset.Population, terr *geo.Terrain, cfg Config) 
 		cfg.MaxHops = 64
 	}
 	n := &Network{
-		eng:       eng,
-		pop:       pop,
-		terr:      terr,
-		cfg:       cfg,
-		rng:       eng.Stream("mesh"),
-		neighbors: make(map[NodeID][]NodeID),
-		routes:    make(map[[2]NodeID]routeEntry),
-		handlers:  make(map[NodeID]Handler),
-		backlog:   make(map[NodeID]backlogState),
+		eng:      eng,
+		pop:      pop,
+		terr:     terr,
+		cfg:      cfg,
+		rng:      eng.Stream("mesh"),
+		routes:   make(map[[2]NodeID]routeEntry),
+		handlers: make(map[NodeID]Handler),
+		backlog:  make(map[NodeID]backlogState),
 	}
 	n.Refresh()
 	return n
@@ -250,28 +253,61 @@ func (n *Network) jamAt(p geo.Point) float64 {
 	return v
 }
 
-// linkRange returns the effective communication range between two
-// assets, accounting for terrain clutter and jamming, or 0 if either
-// node cannot link.
-func (n *Network) linkRange(a, b *asset.Asset) float64 {
-	if a == nil || b == nil || !a.Alive() || !b.Alive() || !a.Online || !b.Online {
+// A linkEnd is one node's inputs to the link predicate: whether it can
+// link at all (alive and online), where it is, its nominal radio range
+// and the jamming intensity at its position. Refresh reads them once
+// per node per tick; linkRange reads them per call.
+type linkEnd struct {
+	up    bool
+	pos   geo.Point
+	radio float64
+	jam   float64
+}
+
+// endOf reads a's link inputs now. Jamming is sampled only for nodes
+// that can link.
+func (n *Network) endOf(a *asset.Asset) linkEnd {
+	if !a.Alive() || !a.Online {
+		return linkEnd{}
+	}
+	p := a.Pos()
+	return linkEnd{up: true, pos: p, radio: a.Caps.RadioRange, jam: n.jamAt(p)}
+}
+
+// rangeBetween is the one definition of a link: the effective
+// communication range from a to b, accounting for terrain clutter and
+// jamming, or 0 if either end cannot link or a fault severs the pair.
+// Terrain and jamming only shrink it (RangeFactor is at most 1, jamAt
+// at least 0), so the result never exceeds the smaller nominal radio
+// range.
+func (n *Network) rangeBetween(a, b *linkEnd) float64 {
+	if !a.up || !b.up {
 		return 0
 	}
-	r := a.Caps.RadioRange
-	if b.Caps.RadioRange < r {
-		r = b.Caps.RadioRange
+	r := a.radio
+	if b.radio < r {
+		r = b.radio
 	}
-	pa, pb := a.Pos(), b.Pos()
-	r *= n.terr.RangeFactor(pa, pb)
-	jam := n.jamAt(pa)
-	if j := n.jamAt(pb); j > jam {
-		jam = j
+	r *= n.terr.RangeFactor(a.pos, b.pos)
+	jam := a.jam
+	if b.jam > jam {
+		jam = b.jam
 	}
 	r *= 1 - jam
-	if r > 0 && n.linkFault != nil && n.linkFault(pa, pb) {
+	if r > 0 && n.linkFault != nil && n.linkFault(a.pos, b.pos) {
 		return 0
 	}
 	return r
+}
+
+// linkRange returns the effective communication range between two
+// assets now (see rangeBetween), or 0 if either is nil.
+func (n *Network) linkRange(a, b *asset.Asset) float64 {
+	if a == nil || b == nil {
+		return 0
+	}
+	ea, eb := n.endOf(a), n.endOf(b)
+	return n.rangeBetween(&ea, &eb)
 }
 
 // Linked reports whether a direct link exists between two nodes now.
@@ -284,48 +320,89 @@ func (n *Network) Linked(a, b NodeID) bool {
 	return r > 0 && aa.Pos().Dist(bb.Pos()) <= r
 }
 
-// Refresh recomputes the neighbor table from current positions.
+// linkSlack is the relative margin of Refresh's squared-distance
+// tests. dx²+dy² lies within a few ulps of Hypot², so a pair whose
+// squared distance exceeds a range squared by more than this is out of
+// that range by the exact Hypot test, and one below it by more than
+// this is within it; only pairs inside the margin need Hypot.
+const linkSlack = 1e-9
+
+// beyond reports whether points at squared distance d2 are certainly
+// farther apart than r.
+func beyond(d2, r float64) bool { return d2 > r*r*(1+linkSlack) }
+
+// within reports whether pa and pb, at squared distance d2, are within
+// a positive range r — the same verdict as pa.Dist(pb) <= r, with Hypot
+// evaluated only near the edge.
+func within(pa, pb geo.Point, d2, r float64) bool {
+	if r <= 0 || beyond(d2, r) {
+		return false
+	}
+	return d2 < r*r*(1-linkSlack) || pa.Dist(pb) <= r
+}
+
+// Refresh recomputes the neighbor table from current positions. It
+// snapshots every node's link inputs once, then links each up node to
+// the up candidates the spatial index returns within its radio range,
+// in index order.
+//
+//iobt:hot
 func (n *Network) Refresh() {
 	n.invalidate()
-	for k := range n.neighbors {
-		delete(n.neighbors, k)
+	all := n.pop.All()
+	for len(n.ends) < len(all) {
+		n.ends = append(n.ends, linkEnd{})
+		n.neighbors = append(n.neighbors, nil)
 	}
-	var scratch []asset.ID
-	for _, a := range n.pop.All() {
-		if !a.Alive() || !a.Online {
-			continue
-		}
-		scratch = scratch[:0]
-		scratch = n.pop.Near(scratch, a.Pos(), a.Caps.RadioRange)
-		var nbrs []NodeID
-		for _, id := range scratch {
-			if id == a.ID {
-				continue
+	for i, a := range all {
+		n.ends[i] = n.endOf(a)
+	}
+	for i := range all {
+		a := &n.ends[i]
+		nbrs := n.neighbors[i][:0]
+		if a.up {
+			n.near = n.pop.Near(n.near[:0], a.pos, a.radio)
+			for _, id := range n.near {
+				b := &n.ends[id]
+				if int(id) == i || !b.up {
+					continue
+				}
+				// The query already bounds the pair by a's radio range;
+				// rangeBetween never exceeds b's either, so a pair
+				// beyond it skips terrain, jamming and fault work.
+				d2 := a.pos.Dist2(b.pos)
+				if beyond(d2, b.radio) {
+					continue
+				}
+				if within(a.pos, b.pos, d2, n.rangeBetween(a, b)) {
+					nbrs = append(nbrs, id)
+				}
 			}
-			b := n.pop.Get(id)
-			r := n.linkRange(a, b)
-			if r > 0 && a.Pos().Dist(b.Pos()) <= r {
-				nbrs = append(nbrs, id)
-			}
 		}
-		if len(nbrs) > 0 {
-			n.neighbors[a.ID] = nbrs
-		}
+		n.neighbors[i] = nbrs
 	}
 }
 
-// Neighbors returns the current neighbor list of id. The returned slice
-// is owned by the network; callers must not mutate it.
-func (n *Network) Neighbors(id NodeID) []NodeID { return n.neighbors[id] }
+// Neighbors returns the current neighbor list of id, or nil when it has
+// none. The slice is owned by the network and valid only until the next
+// Refresh, which rewrites it in place: callers must neither mutate nor
+// retain it.
+func (n *Network) Neighbors(id NodeID) []NodeID {
+	if id < 0 || int(id) >= len(n.neighbors) || len(n.neighbors[id]) == 0 {
+		return nil
+	}
+	return n.neighbors[id]
+}
 
 // Nodes returns the IDs that currently have at least one link,
 // in ascending order. Used by overlays (gossip, spanning tree).
 func (n *Network) Nodes() []NodeID {
 	out := make([]NodeID, 0, len(n.neighbors))
-	for id := range n.neighbors {
-		out = append(out, id)
+	for id, nbrs := range n.neighbors {
+		if len(nbrs) > 0 {
+			out = append(out, NodeID(id))
+		}
 	}
-	sortNodeIDs(out)
 	return out
 }
 

@@ -30,7 +30,7 @@ func (n *Network) Reachable(src, dst NodeID) bool {
 // bfs runs breadth-first search over the neighbor table. Neighbor order
 // is deterministic, so returned paths are deterministic too.
 func (n *Network) bfs(src, dst NodeID) []NodeID {
-	if _, ok := n.neighbors[src]; !ok {
+	if len(n.Neighbors(src)) == 0 {
 		return nil
 	}
 	prev := map[NodeID]NodeID{src: src}
@@ -39,7 +39,7 @@ func (n *Network) bfs(src, dst NodeID) []NodeID {
 	for len(frontier) > 0 && depth < n.cfg.MaxHops {
 		var next []NodeID
 		for _, u := range frontier {
-			for _, v := range n.neighbors[u] {
+			for _, v := range n.Neighbors(u) {
 				if _, seen := prev[v]; seen {
 					continue
 				}
@@ -74,7 +74,7 @@ func buildPath(prev map[NodeID]NodeID, src, dst NodeID) []NodeID {
 // Component returns all nodes reachable from src (including src),
 // in ascending ID order.
 func (n *Network) Component(src NodeID) []NodeID {
-	if _, ok := n.neighbors[src]; !ok {
+	if len(n.Neighbors(src)) == 0 {
 		return []NodeID{src}
 	}
 	seen := map[NodeID]bool{src: true}
@@ -82,7 +82,7 @@ func (n *Network) Component(src NodeID) []NodeID {
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, v := range n.neighbors[u] {
+		for _, v := range n.Neighbors(u) {
 			if !seen[v] {
 				seen[v] = true
 				stack = append(stack, v)
@@ -100,9 +100,9 @@ func (n *Network) Component(src NodeID) []NodeID {
 // Components returns every connected component with at least minSize
 // nodes, largest first.
 func (n *Network) Components(minSize int) [][]NodeID {
-	seen := make(map[NodeID]bool, len(n.neighbors))
-	var comps [][]NodeID
 	ids := n.Nodes()
+	seen := make(map[NodeID]bool, len(ids))
+	var comps [][]NodeID
 	for _, id := range ids {
 		if seen[id] {
 			continue
